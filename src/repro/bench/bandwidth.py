@@ -96,25 +96,21 @@ def run_uct_bandwidth(
         completed_mark = 0
         while posted < total:
             # Keep at most `window` operations outstanding.
-            while iface.qp.txq.occupied >= window:
-                yield from worker.progress()
+            yield from worker.progress_until(lambda: iface.qp.txq.occupied < window)
             while True:
                 status = yield from post()
                 if status == UCS_OK:
                     break
-                while (yield from worker.progress()) == 0:
-                    pass
+                yield from worker.progress_until_events()
             posted += 1
             if posted == warmup:
                 # Start timing once the pipeline is primed; the window
                 # is drained again at the end so the measured interval
                 # covers exactly n_messages' worth of data.
-                while iface.qp.txq.occupied > 0:
-                    yield from worker.progress()
+                yield from worker.progress_until(lambda: iface.qp.txq.occupied == 0)
                 marks["t_start"] = env.now
                 completed_mark = posted
-        while iface.qp.txq.occupied > 0:
-            yield from worker.progress()
+        yield from worker.progress_until(lambda: iface.qp.txq.occupied == 0)
         marks["t_end"] = env.now
         marks["measured"] = posted - completed_mark
 

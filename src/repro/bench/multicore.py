@@ -109,8 +109,7 @@ def run_multicore_put_bw(
                 status = yield from ep.put_short(payload_bytes)
                 if status == UCS_OK:
                     break
-                while (yield from worker.progress()) == 0:
-                    pass
+                yield from worker.progress_until_events()
             posted += 1
             if posted == warmup_per_core:
                 done_warmup["count"] += 1
@@ -127,8 +126,7 @@ def run_multicore_put_bw(
             counts[core_index] = posted
         finish_times.append(env.now)
         # Drain so the run ends cleanly.
-        while iface.qp.txq.occupied > 0:
-            yield from worker.progress()
+        yield from worker.progress_until(lambda: iface.qp.txq.occupied == 0)
 
     processes = [
         env.process(sender(index), name=f"mc_put_bw.core{index}")

@@ -167,8 +167,7 @@ def run_put_bw(
                 if status == UCS_OK:
                     break
                 # Busy post: progress until a completion retires a slot.
-                while (yield from worker.progress()) == 0:
-                    pass
+                yield from worker.progress_until_events()
             posted += 1
             if posted == warmup:
                 # Steady state reached: start measuring from here.
@@ -182,8 +181,7 @@ def run_put_bw(
             yield from profiler.end("measurement_update", mu)
         marks["t_end"] = env.now
         # Drain outstanding completions so the run ends cleanly.
-        while iface.qp.txq.occupied > 0:
-            yield from worker.progress()
+        yield from worker.progress_until(lambda: iface.qp.txq.occupied == 0)
 
     busy_before = iface.busy_posts
     env.run(until=env.process(sender(), name="put_bw"))
@@ -404,8 +402,7 @@ def run_am_lat(
                 status = yield from ep1.am_short(payload_bytes)
                 if status == UCS_OK:
                     break
-                while (yield from worker1.progress()) == 0:
-                    pass
+                yield from worker1.progress_until_events()
             pings.append(iface1.last_message)
             yield from node1.cpu.execute("measurement_update")
             target = i + 1
@@ -432,8 +429,7 @@ def run_am_lat(
                 status = yield from ep2.am_short(payload_bytes)
                 if status == UCS_OK:
                     break
-                while (yield from worker2.progress()) == 0:
-                    pass
+                yield from worker2.progress_until_events()
 
     env.process(responder(), name="am_lat.responder")
     env.run(until=env.process(initiator(), name="am_lat.initiator"))

@@ -39,7 +39,9 @@ Commands
     ``latency-tolerance`` (per-component slack, the default),
     ``critical-path`` (the Fig-10 breakdown of one message) or
     ``recovery`` (fault/recovery event counts); unknown analyses exit 2
-    with the registered list.  See docs/tracing.md.
+    with the registered list.  A truncated export (the recorder dropped
+    spans or instants) exits 1 with the drop counts.  See
+    docs/tracing.md.
 
 Uniform run flags
 -----------------
@@ -273,7 +275,8 @@ def _build_parser() -> argparse.ArgumentParser:
         epilog=(
             "examples: 'trace barrier --param n_nodes=4 --out t.json' then "
             "'analyze t.json' (per-component latency slack), "
-            "'analyze t.json --what critical-path --msg-id 3'"
+            "'analyze t.json --what critical-path --msg-id 3'; "
+            "a truncated trace (dropped spans or instants) exits 1"
         ),
     )
     analyze.add_argument("trace", metavar="TRACE.json",
@@ -898,17 +901,28 @@ def _cmd_analyze(args: argparse.Namespace, out) -> int:
         print(f"cannot read trace file {args.trace!r}: {exc}", file=out)
         return 2
 
-    from repro.trace import instants_from_chrome, spans_from_chrome
+    from repro.trace import dropped_from_chrome, instants_from_chrome, spans_from_chrome
 
     try:
         spans = spans_from_chrome(payload)
         marks = instants_from_chrome(payload)
-    except (KeyError, TypeError) as exc:
+        dropped = dropped_from_chrome(payload)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         print(
             f"trace file {args.trace!r} is not a repro trace export: {exc}",
             file=out,
         )
         return 2
+    if any(dropped.values()):
+        # The recorder's ring buffer overflowed: the oldest records are
+        # gone, so any analysis would run on part of the run.
+        print(
+            f"trace file {args.trace!r} is truncated: "
+            f"dropped_spans={dropped['dropped_spans']} "
+            f"dropped_instants={dropped['dropped_instants']}",
+            file=out,
+        )
+        return 1
 
     if args.what == "latency-tolerance":
         from repro.analysis.latency_tolerance import (

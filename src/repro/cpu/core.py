@@ -84,6 +84,26 @@ class CpuCore:
         """
         return getattr(self.costs, segment)
 
+    def charge(self, segment: str, mean: float | None = None) -> float:
+        """Draw and account one run of ``segment``; returns its duration.
+
+        The accounting half of :meth:`execute`, without advancing the
+        clock: callback-tier code (the poll pump) calls it and schedules
+        its own calendar entry ``duration`` ns ahead, exactly where
+        :meth:`execute` would have put its timeout.
+        """
+        nominal = self.segment_mean(segment) if mean is None else mean
+        duration = self.jitter.sample(nominal, self.rng)
+        account = self.accounts.get(segment)
+        if account is None:
+            account = self.accounts[segment] = SegmentAccount()
+        account.count += 1
+        account.total_ns += duration
+        if self.record_samples:
+            account.samples.append(duration)
+        self.busy_ns += duration
+        return duration
+
     def execute(self, segment: str, mean: float | None = None):
         """Run ``segment`` on this core (generator; yield from it).
 
@@ -100,14 +120,7 @@ class CpuCore:
         The timeout advancing simulated time.  Returns the actual
         (jittered) duration in ns.
         """
-        nominal = self.segment_mean(segment) if mean is None else mean
-        duration = self.jitter.sample(nominal, self.rng)
-        account = self.accounts.setdefault(segment, SegmentAccount())
-        account.count += 1
-        account.total_ns += duration
-        if self.record_samples:
-            account.samples.append(duration)
-        self.busy_ns += duration
+        duration = self.charge(segment, mean)
         if duration > 0:
             yield self.env.timeout(duration)
         return duration

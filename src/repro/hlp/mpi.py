@@ -137,8 +137,7 @@ class MpiComm:
         entry = yield from profiler.begin("mpich_wait_entry")
         yield from cpu.execute("mpich_wait_entry")
         yield from profiler.end("mpich_wait_entry", entry)
-        while not request.completed:
-            yield from self.stack.ucp.worker_progress()
+        yield from self.stack.ucp.progress_until(lambda: request.completed)
         after = yield from profiler.begin("mpich_after_progress")
         yield from cpu.execute("mpich_after_progress")
         yield from profiler.end("mpich_after_progress", after)
@@ -166,7 +165,10 @@ class MpiComm:
         for _ in range(len(requests) - len(remaining)):
             yield from cpu.execute("mpich_request_finalize")
         while remaining:
-            yield from self.stack.ucp.worker_progress()
+            # Progress before looking, then finalise what completed.
+            yield from self.stack.ucp.progress_until(
+                lambda: any(r.completed for r in remaining), test_first=False
+            )
             still = []
             for request in remaining:
                 if request.completed:

@@ -15,6 +15,7 @@ from collections.abc import Callable, Generator
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.llp import pump
 from repro.llp.profiling import UcsProfiler
 from repro.llp.uct import (
     UCS_OK,
@@ -225,12 +226,18 @@ class UcpWorker:
         then progress the transport (which runs completion and receive
         callbacks inline).  Returns the number of transport events.
         """
-        cpu = self.cpu
         env = self.node.env
         if env.tracer.enabled:
             env.tracer.counter("hlp", "worker_progress_calls")
         start = yield from self.profiler.begin("ucp_worker_progress")
-        yield from cpu.execute("ucp_prog_body")
+        yield from self.cpu.execute("ucp_prog_body")
+        events = yield from self._progress_tail()
+        yield from self.profiler.end("ucp_worker_progress", start)
+        return events
+
+    def _progress_tail(self) -> Generator:
+        """The rest of a pass after ``ucp_prog_body``: re-posts, then UCT."""
+        env = self.node.env
         repost_start = env.now
         while self.pending_sends:
             # Ask the pended send's own transport/rail for space — the
@@ -248,9 +255,45 @@ class UcpWorker:
                 self.pending_sends.appendleft((request, uct_ep))
                 break
         self.progress_llp_post_ns += env.now - repost_start
-        events = yield from self.uct_worker.progress()
-        yield from self.profiler.end("ucp_worker_progress", start)
-        return events
+        return (yield from self.uct_worker.progress())
+
+    def progress_until(self, done: Callable[[], bool], test_first: bool = True) -> Generator:
+        """Run :meth:`worker_progress` passes until ``done()`` holds.
+
+        ``done`` is tested after every pass, and also before the first
+        one unless ``test_first`` is False (``MPI_Waitall`` progresses
+        once before it looks).  Empty passes run on the poll pump
+        (:mod:`repro.llp.pump`) unless ``ucp_worker_progress`` or
+        ``llp_prog`` is being profiled.
+        """
+        if test_first and done():
+            return None
+        reference = not pump.pumpable(self.profiler, "ucp_worker_progress", "llp_prog")
+        while True:
+            if reference:
+                yield from self.worker_progress()
+            elif (
+                yield from pump.spin(self.uct_worker, done, self._pass_head, self._repost_ready)
+            ) is pump.DONE:
+                return None
+            else:
+                yield from self._progress_tail()
+            if done():
+                return None
+
+    def _pass_head(self) -> float:
+        """Start a pass on the pump: what precedes the ``ucp_prog_body`` timeout."""
+        tracer = self.node.env.tracer
+        if tracer.enabled:
+            tracer.counter("hlp", "worker_progress_calls")
+        return self.cpu.charge("ucp_prog_body")
+
+    def _repost_ready(self) -> bool:
+        """Whether the next pass would re-post a pended send."""
+        if not self.pending_sends:
+            return False
+        request, uct_ep = self.pending_sends[0]
+        return uct_ep.can_post(request.payload_bytes)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

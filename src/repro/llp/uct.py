@@ -23,6 +23,7 @@ from __future__ import annotations
 from collections.abc import Callable, Generator
 from typing import Any
 
+from repro.llp import pump
 from repro.llp.profiling import UcsProfiler
 from repro.nic.descriptor import Message, MessageOp
 from repro.node.node import Node
@@ -85,11 +86,14 @@ class UctWorker:
         self.ifaces: list[UctIface] = []
         self.progress_calls = 0
         self.empty_progress_calls = 0
+        #: Every store a pass polls, in poll order (see :meth:`has_work`).
+        self._polled: tuple[Any, ...] = ()
 
     def create_iface(self, signal_period: int = 1, name: str | None = None) -> "UctIface":
         """Open an interface (one queue pair + one AM mailbox)."""
         iface = UctIface(self, signal_period=signal_period, name=name)
         self.ifaces.append(iface)
+        self._polled += (*(qp.cq.mailbox for qp in iface.qps), iface.am_mailbox)
         return iface
 
     def progress(self) -> Generator:
@@ -149,11 +153,44 @@ class UctWorker:
         yield from self.profiler.end("llp_prog", start)
         return events
 
+    def has_work(self) -> bool:
+        """Whether a :meth:`progress` pass would find anything right now.
+
+        Peeks every rail's CQ and each AM mailbox without dequeuing.
+        """
+        for store in self._polled:
+            if len(store):
+                return True
+        return False
+
     def progress_until(self, predicate: Callable[[], bool]) -> Generator:
-        """Spin ``progress()`` until ``predicate()`` holds."""
+        """Spin ``progress()`` until ``predicate()`` holds.
+
+        ``predicate`` is tested before every pass; empty passes run on
+        the poll pump (:mod:`repro.llp.pump`) unless ``llp_prog`` is
+        being profiled.
+        """
+        reference = not pump.pumpable(self.profiler, "llp_prog")
         while not predicate():
+            if not reference and (yield from pump.spin(self, predicate)) is pump.DONE:
+                return None
             yield from self.progress()
         return None
+
+    def progress_until_events(self) -> Generator:
+        """Spin ``progress()`` until a pass processes an event.
+
+        The busy-post spin (``while progress() == 0``): returns the
+        event count of the first non-empty pass.  Empty passes run on
+        the poll pump unless ``llp_prog`` is being profiled.
+        """
+        reference = not pump.pumpable(self.profiler, "llp_prog")
+        while True:
+            if not reference:
+                yield from pump.spin(self, None)
+            events = yield from self.progress()
+            if events:
+                return events
 
     def wait_am_interrupt(self, iface: "UctIface") -> Generator:
         """Interrupt-driven receive: sleep until an AM arrives (§2).
@@ -189,7 +226,11 @@ class UctIface:
         node = worker.node
         self.worker = worker
         self.node = node
-        self.name = name or f"{node.name}.iface{len(worker.ifaces)}"
+        # Workers on the node's first core keep the historical
+        # ``{node}.iface{i}`` names; a worker on any other core prefixes
+        # its core, so ranks sharing a node never share a mailbox or CQ.
+        owner = node.name if worker.cpu is node.cores[0] else worker.cpu.name
+        self.name = name or f"{owner}.iface{len(worker.ifaces)}"
         #: One queue pair per NIC rail.  Rail 0 keeps the historical
         #: ``{iface}.qp`` name so single-rail artefacts are unchanged.
         self.qps = [

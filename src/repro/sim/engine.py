@@ -737,6 +737,30 @@ class Environment:
             )
         self._push(at, priority, fn, args)
 
+    def fire_inline(self, event: Event, value: Any = None) -> None:
+        """Succeed ``event`` and process it inside the current entry.
+
+        The callback tier's way back into a waiting process: rather than
+        scheduling ``event`` (a new calendar entry), its callbacks run
+        right now, so a process resumed through it continues at exactly
+        the calendar position of the entry that called this — the same
+        position a :class:`Timeout` it had been waiting on would have
+        resumed it from.  Only callback-tier code may call it: resuming
+        a generator while a :class:`Process` is executing would re-enter
+        the generator machinery.
+        """
+        if self._active_process is not None:
+            raise SimulationError(
+                f"fire_inline({event!r}) called while process "
+                f"{self._active_process.name!r} is executing"
+            )
+        if event._triggered:
+            raise SimulationError(f"{event!r} has already been triggered")
+        event._ok = True
+        event._value = value
+        event._triggered = True
+        event._mark_processed()
+
     def chain(
         self,
         *steps: tuple[float, Callable[[], Any]],

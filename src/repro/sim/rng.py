@@ -120,6 +120,7 @@ class JitterModel:
     _mu: float = field(init=False, repr=False)
     _sigma: float = field(init=False, repr=False)
     _body_gain: float = field(init=False, repr=False)
+    _tail_cut: float = field(init=False, repr=False)
 
     #: Mean of ``1 + Pareto(PARETO_SHAPE)``: Pareto(a) has mean 1/(a-1).
     PARETO_SHAPE = 2.5
@@ -155,24 +156,33 @@ class JitterModel:
         ) / p_body
         if self._body_gain <= 0:
             raise ValueError("tail mass too heavy: body gain would be non-positive")
+        #: Rolls below this land in one of the two tails.
+        self._tail_cut = self.outlier_prob + self.medium_prob
 
     def sample(self, mean: float, rng: np.random.Generator) -> float:
-        """Draw one noisy duration around ``mean`` nanoseconds."""
-        if mean < 0:
-            raise ValueError(f"mean duration must be >= 0, got {mean}")
-        if mean == 0:
+        """Draw one noisy duration around ``mean`` nanoseconds.
+
+        The hottest function of a replayed run (one call per simulated
+        CPU segment), so the common body path is kept to the two draws
+        and the arithmetic.
+        """
+        if mean <= 0:
+            if mean < 0:
+                raise ValueError(f"mean duration must be >= 0, got {mean}")
             return 0.0
         roll = rng.random()
-        if roll < self.outlier_prob:
-            factor = 1.0 + self.outlier_scale * (1.0 + rng.pareto(self.PARETO_SHAPE))
-            return mean * factor
-        if roll < self.outlier_prob + self.medium_prob:
+        if roll < self._tail_cut:
+            if roll < self.outlier_prob:
+                factor = 1.0 + self.outlier_scale * (1.0 + rng.pareto(self.PARETO_SHAPE))
+                return mean * factor
             factor = 1.0 + self.medium_scale * rng.exponential()
             return mean * factor
-        if self._sigma == 0.0:
+        sigma = self._sigma
+        if sigma == 0.0:
             return mean * self._body_gain
-        factor = self._body_gain * math.exp(rng.normal(self._mu, self._sigma))
-        return max(mean * factor, mean * self.floor_fraction)
+        value = mean * (self._body_gain * math.exp(rng.normal(self._mu, sigma)))
+        floor = mean * self.floor_fraction
+        return floor if floor > value else value
 
     def sample_many(self, mean: float, n: int, rng: np.random.Generator) -> np.ndarray:
         """Vectorised :meth:`sample` for ``n`` draws."""

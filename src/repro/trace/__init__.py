@@ -48,6 +48,7 @@ from repro.trace.golden import timeline_digest, timeline_lines
 from repro.trace.metrics import DurationHistogram, LayerMetrics
 from repro.trace.perfetto import (
     chrome_trace,
+    dropped_from_chrome,
     instants_from_chrome,
     span_forest,
     spans_from_chrome,
@@ -68,6 +69,7 @@ __all__ = [
     "critical_path",
     "critical_path_breakdown",
     "critical_path_report",
+    "dropped_from_chrome",
     "instants_from_chrome",
     "pick_breakdown_message",
     "recovery_events",
@@ -158,6 +160,7 @@ class TraceSession:
             "spans": 0,
             "instants": 0,
             "dropped_spans": 0,
+            "dropped_instants": 0,
             "events": {"executed": 0, "fast_forwarded": 0},
             "per_layer": {},
             "counters": {},
@@ -167,6 +170,7 @@ class TraceSession:
             merged["spans"] += digest["spans"]
             merged["instants"] += digest["instants"]
             merged["dropped_spans"] += digest["dropped_spans"]
+            merged["dropped_instants"] += digest["dropped_instants"]
             merged["events"]["executed"] += digest["events"]["executed"]
             merged["events"]["fast_forwarded"] += digest["events"]["fast_forwarded"]
             for layer, stats in digest["per_layer"].items():

@@ -12,6 +12,11 @@ Span identity survives the round trip: each event's ``args`` carries
 ``span_id`` and ``parent`` alongside the user attributes, so
 :func:`spans_from_chrome` can rebuild the exact span forest from a
 loaded JSON file — which is how the exporter is tested.
+
+The export also records what it left out: ``otherData`` carries the
+number of spans and instants the recorders' ring buffers evicted
+(:func:`dropped_from_chrome` reads them back), so an analysis can
+refuse a truncated trace instead of running silently on part of it.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from repro.trace.tracer import Span, Tracer
 
 __all__ = [
     "chrome_trace",
+    "dropped_from_chrome",
     "instants_from_chrome",
     "spans_from_chrome",
     "span_forest",
@@ -52,9 +58,12 @@ def chrome_trace(tracers: Tracer | Iterable[Tracer]) -> dict[str, Any]:
         tracers = [tracers]
     spans: list[Span] = []
     instants: list[Span] = []
+    dropped = {"dropped_spans": 0, "dropped_instants": 0}
     for tracer in tracers:
         spans.extend(tracer.spans())
         instants.extend(tracer.instants())
+        dropped["dropped_spans"] += tracer.dropped_spans
+        dropped["dropped_instants"] += tracer.dropped_instants
 
     tids = _track_ids([*spans, *instants])
     events: list[dict[str, Any]] = [
@@ -105,7 +114,18 @@ def chrome_trace(tracers: Tracer | Iterable[Tracer]) -> dict[str, Any]:
                 },
             }
         )
-    return {"traceEvents": events, "displayTimeUnit": "ns"}
+    return {"traceEvents": events, "displayTimeUnit": "ns", "otherData": dropped}
+
+
+def dropped_from_chrome(payload: dict[str, Any]) -> dict[str, int]:
+    """The ``dropped_spans``/``dropped_instants`` counts of an export.
+
+    Exports written before the counts were recorded read as zero.
+    """
+    other = payload.get("otherData") or {}
+    return {
+        key: int(other.get(key, 0)) for key in ("dropped_spans", "dropped_instants")
+    }
 
 
 def write_chrome_trace(tracers: Tracer | Iterable[Tracer], path: Any) -> None:

@@ -9,10 +9,11 @@ close spans out of order when several packets are in flight; ``end``
 therefore removes the span from the stack by identity rather than
 popping blindly.
 
-Recording is bounded: closed spans land on a ``deque(maxlen=capacity)``
-ring buffer, so a long campaign can keep tracing enabled without
-unbounded memory growth — the newest spans win, and :meth:`Tracer.summary`
-reports how many were dropped.
+Recording is bounded: closed spans and instants land on
+``deque(maxlen=capacity)`` ring buffers, so a long campaign can keep
+tracing enabled without unbounded memory growth — the newest records
+win, and :meth:`Tracer.summary` and the Perfetto export report how many
+of each were dropped.
 
 The disabled case never reaches this module: :class:`repro.sim.engine.NullTracer`
 implements the same surface as no-ops and is what every
@@ -197,6 +198,11 @@ class Tracer:
         """Closed spans evicted from the ring buffer."""
         return self._closed_total - len(self._spans)
 
+    @property
+    def dropped_instants(self) -> int:
+        """Instants evicted from the ring buffer."""
+        return self._instant_total - len(self._instants)
+
     def summary(self) -> dict[str, Any]:
         """JSON-encodable digest: totals, drops and per-layer metrics.
 
@@ -214,6 +220,7 @@ class Tracer:
             "spans": self._closed_total,
             "instants": self._instant_total,
             "dropped_spans": self.dropped_spans,
+            "dropped_instants": self.dropped_instants,
             "open_spans": len(self.open_spans()),
             "events": {
                 "executed": executed,

@@ -77,6 +77,24 @@ class TestExecute:
         assert env.now == pytest.approx(27.78 + 17.33)
 
 
+class TestCharge:
+    def test_charge_accounts_like_execute_without_advancing_time(self):
+        segments = ("llp_prog_empty", "ucp_prog_body", "llp_prog_empty")
+        env, charged = make_core(record_samples=True, jitter=JitterModel())
+        run_env, executed = make_core(record_samples=True, jitter=JitterModel())
+
+        def body():
+            for segment in segments:
+                yield from executed.execute(segment)
+
+        run_env.run(until=run_env.process(body()))
+        durations = [charged.charge(segment) for segment in segments]
+        assert env.now == 0.0
+        assert sum(durations) == run_env.now
+        assert charged.accounts == executed.accounts
+        assert charged.busy_ns == executed.busy_ns
+
+
 class TestAccounting:
     def test_account_counts_and_totals(self):
         env, core = make_core()

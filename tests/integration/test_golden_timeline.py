@@ -13,6 +13,14 @@ wall-clock cost.
 ``sorted`` hashes the lexicographic multiset (order-insensitive — if
 ``exact`` breaks but ``sorted`` holds, only tie-breaking moved).
 
+``untraced`` pins the default fast configuration, which the traced
+digests cannot see (compiled fabric paths and folded hops only run
+untraced): measurements, final clock, every message's stamp journal
+and each core's segment accounts and ``busy_ns``.  These digests, and
+the two MPI ring-allreduce scenarios, were captured on the last commit
+before the poll pump moved empty progress passes onto the callback
+tier.
+
 Timelines embed identity counters (message/TLP/frame ids) that are
 process-global, so each comparison runs the capture tool in a **fresh
 subprocess**, one scenario per process — exactly how the pinned values
@@ -48,6 +56,9 @@ GOLDEN = {
         "measurements": (
             "9459940a137ce52fc15a4ddde05c55fbb9b47eab2cff6a24f5271e07bc1403ed"
         ),
+        "untraced": (
+            "99f1ab9eb999a81897fb96a9f223202bc49a727d1549ee65c62d152da17caf8f"
+        ),
     },
     "put_bw_jittered_seed7": {
         "events": 1920,
@@ -55,6 +66,9 @@ GOLDEN = {
         "sorted": "811b19eac0cf638d3d54359ccbb017788f906874d9d7c23c4c616b28285a0525",
         "measurements": (
             "33ff2e206a9d3a852128bd32050b13b2f6b8d63b68f85cc7e42dd327bf5a9c2e"
+        ),
+        "untraced": (
+            "cfff34117344b757580d9473f8527555921ac9352c7cb1c3e400cb3d21ea014c"
         ),
     },
     "am_lat_deterministic": {
@@ -64,6 +78,9 @@ GOLDEN = {
         "measurements": (
             "c67b09a136d51e177e483e05e277b5ed617b278c5faec3e1d38615aa711a8f19"
         ),
+        "untraced": (
+            "0fab1d24eaad721a9378d2bbde984d9e117e2d700071d7c6060f58aa011069f9"
+        ),
     },
     "am_lat_lossy_pcie": {
         "events": 2511,
@@ -71,6 +88,31 @@ GOLDEN = {
         "sorted": "f8b271a1aa98614432579edf3164fa1a86a5c7cf0d0866bee365b57ceb9c5ad2",
         "measurements": (
             "04dbee56feed50493bfc38fb9bdb15d282018790e6bfe5068858fb6f59118909"
+        ),
+        "untraced": (
+            "37ad0adcf3c3c27cf2819c9010383108a7abcfb92d853df90b256fbef4753b56"
+        ),
+    },
+    "ring_allreduce_fat_tree_deterministic": {
+        "events": 8904,
+        "exact": "d9a87fbfc0fa31988cacff6cf682d6e7244b29104a5dfe2b2d1e4e34328a4ce1",
+        "sorted": "aae4359f56830942dcac29bae975e549ace14b8980cb42523386f4e6000fce8c",
+        "measurements": (
+            "cefb2270bbf42d4e708468f5787f7c5bf333c5dd785047dad9a2bb5cf9d4a44e"
+        ),
+        "untraced": (
+            "0ad936db7b8de2b62af2333508ac9e4a95fac9e3e23209e375e342e3ad13dcdd"
+        ),
+    },
+    "ring_allreduce_fat_tree_seed7": {
+        "events": 8931,
+        "exact": "40d54fa5585d0b44a152c497c9975e9777ec4fb43413d2905909f9460be6eacf",
+        "sorted": "7e913ad3d3ae600560092db877699344d7fb7009b7186586e8826cec00d6e939",
+        "measurements": (
+            "4de52b5f0e19e80bd8edac517dec78318cb3471688558259c597b5cbfe4ce462"
+        ),
+        "untraced": (
+            "6d6987edb20faf1f3b9c3b4ce27d6410af53b62217a2be2082b5318ed20c523d"
         ),
     },
 }
@@ -97,6 +139,7 @@ class TestGoldenTimelines:
         expected = GOLDEN[name]
         assert digest["events"] == expected["events"]
         assert digest["measurements"] == expected["measurements"]
+        assert digest["untraced"] == expected["untraced"]
         # Order-insensitive first: a 'sorted' mismatch means timestamps
         # or span contents moved, not merely tie-breaking.
         assert digest["sorted"] == expected["sorted"]

@@ -235,6 +235,43 @@ class TestProcess:
 class TestCallbackTier:
     """The defer/chain fast path shares the calendar with the event tier."""
 
+    def test_fire_inline_resumes_a_waiter_inside_the_current_entry(self):
+        env = Environment()
+        waiter = env.event()
+        seen = []
+
+        def body():
+            value = yield waiter
+            seen.append((env.now, value, env.events_executed))
+            yield env.timeout(1.0)
+
+        process = env.process(body())
+        env.defer(lambda: env.fire_inline(waiter, "ok"), 7.0)
+        env.run(until=process)
+        # Resumed at 7.0 by the deferred entry itself: no extra entry
+        # (the process start, the deferred callback, then the timeout).
+        assert seen == [(7.0, "ok", 2)]
+        assert waiter.processed and waiter.value == "ok"
+        assert env.events_executed == 4  # + the process's own completion
+
+    def test_fire_inline_refused_while_a_process_runs(self):
+        env = Environment()
+        waiter = env.event()
+
+        def body():
+            env.fire_inline(waiter)
+            yield env.timeout(1.0)
+
+        with pytest.raises(SimulationError, match="is executing"):
+            env.run(until=env.process(body()))
+        assert not waiter.triggered
+
+    def test_fire_inline_rejects_a_triggered_event(self):
+        env = Environment()
+        event = env.event().succeed(1)
+        with pytest.raises(SimulationError, match="already been triggered"):
+            env.fire_inline(event)
+
     def test_defer_runs_at_scheduled_time_with_args(self):
         env = Environment()
         seen = []

@@ -553,6 +553,26 @@ class TestAnalyzeCommand:
         assert code == 2
         assert "cannot read trace file" in text
 
+    def test_truncated_trace_exits_1_with_the_drop_counts(self, tmp_path):
+        from repro.collectives.workloads import barrier_workload
+        from repro.node import SystemConfig
+        from repro.trace import trace_session
+
+        path = tmp_path / "truncated.json"
+        with trace_session(capacity=16) as session:
+            barrier_workload(
+                SystemConfig.paper_testbed(deterministic=True), n_nodes=4, iterations=1
+            )
+        session.write_chrome_trace(path)
+        summary = session.summary()
+        assert summary["dropped_spans"] > 0
+        for what in ("latency-tolerance", "critical-path", "recovery"):
+            code, text = run_cli("analyze", str(path), "--what", what)
+            assert code == 1
+            assert "truncated" in text
+            assert f"dropped_spans={summary['dropped_spans']}" in text
+            assert f"dropped_instants={summary['dropped_instants']}" in text
+
     def test_non_trace_json_exits_2(self, tmp_path):
         bogus = tmp_path / "bogus.json"
         bogus.write_text('{"hello": 1}')

@@ -10,6 +10,7 @@ from repro.sim.engine import Environment
 from repro.trace import (
     Tracer,
     chrome_trace,
+    dropped_from_chrome,
     span_forest,
     spans_from_chrome,
     trace_session,
@@ -48,6 +49,27 @@ class TestChromeTrace:
         assert outer["ts"] == 0.0
         assert outer["dur"] == pytest.approx(104.25 / 1e3)
         assert outer["args"]["op"] == "am_short"
+
+    def test_export_records_what_the_ring_buffers_dropped(self):
+        payload = chrome_trace(build_small_tracer())
+        assert payload["otherData"] == {"dropped_spans": 0, "dropped_instants": 0}
+
+        env = Environment()
+        first, second = Tracer(env, capacity=2), Tracer(env, capacity=2)
+        for index in range(5):
+            first.end(first.begin("llp", f"s{index}"))
+            second.instant("nic", f"i{index}")
+        payload = json.loads(json.dumps(chrome_trace([first, second])))
+        assert dropped_from_chrome(payload) == {
+            "dropped_spans": 3, "dropped_instants": 3,
+        }
+
+    def test_exports_without_drop_counts_read_as_complete(self):
+        payload = chrome_trace(build_small_tracer())
+        del payload["otherData"]
+        assert dropped_from_chrome(payload) == {
+            "dropped_spans": 0, "dropped_instants": 0,
+        }
 
     def test_json_serializable_with_exotic_attrs(self):
         env = Environment()

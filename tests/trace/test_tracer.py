@@ -78,6 +78,15 @@ class TestRingBuffer:
         assert summary["spans"] == 10  # totals survive eviction
         assert summary["dropped_spans"] == 6
 
+    def test_drops_oldest_instants_and_counts(self):
+        tracer = Tracer(Environment(), capacity=3)
+        for index in range(7):
+            tracer.instant("nic", f"i{index}")
+        assert [mark.name for mark in tracer.instants()] == ["i4", "i5", "i6"]
+        assert tracer.dropped_instants == 4
+        assert tracer.summary()["dropped_instants"] == 4
+        assert tracer.dropped_spans == 0
+
 
 class TestInstantsAndCounters:
     def test_instant_is_parented_and_zero_duration(self):

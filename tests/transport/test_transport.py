@@ -214,3 +214,58 @@ class TestMultiRail:
         assert iface.qp.name == f"{iface.name}.qp"
         assert len(tb.node1.rails) == 1
         assert tb.node1.rails[0].nic is tb.node1.nic
+
+
+class TestRanksSharingANode:
+    """Ranks packed onto one node must each own their mailbox and CQs."""
+
+    def test_workers_on_different_cores_own_their_stores(self):
+        cluster = Cluster(2, config=DET, processes_per_node=2)
+        node = cluster.nodes[0]
+        first = UctWorker(node, core=node.cores[0]).create_iface()
+        second = UctWorker(node, core=node.cores[1]).create_iface()
+        assert first.name == "node0.iface0"
+        assert second.name == "node0.cpu1.iface0"
+        assert first.am_mailbox is not second.am_mailbox
+        assert first.qp.cq.mailbox is not second.qp.cq.mailbox
+
+    @pytest.mark.parametrize(
+        "config", [DET, SystemConfig.paper_testbed(seed=3)], ids=["det", "seed3"]
+    )
+    def test_ring_receives_land_on_their_addressee(self, config, monkeypatch):
+        from repro.collectives import run_collective
+        from repro.hlp.ucp import UcpWorker
+
+        cluster = Cluster(2, config=config, processes_per_node=2)
+        n_ranks = cluster.n_ranks
+        rank_of = {id(cluster.core_for_rank(r)): r for r in range(n_ranks)}
+        sender_of: dict[int, int] = {}
+        workers: dict[int, UcpWorker] = {}
+        landed = []
+        send, complete = UcpWorker.tag_send_nb, UcpWorker._complete_recv
+
+        def tag_send_nb(self, ep, payload_bytes, upper_callback=None):
+            request = yield from send(self, ep, payload_bytes, upper_callback)
+            assert request.completed  # posted inline, so last_message is it
+            sender_of[self.iface.last_message.msg_id] = rank_of[id(self.cpu)]
+            return request
+
+        def complete_recv(self, request, message):
+            rank = rank_of[id(self.cpu)]
+            workers[rank] = self
+            landed.append((rank, sender_of[message.msg_id]))
+            return (yield from complete(self, request, message))
+
+        monkeypatch.setattr(UcpWorker, "tag_send_nb", tag_send_nb)
+        monkeypatch.setattr(UcpWorker, "_complete_recv", complete_recv)
+        run_collective("allreduce", cluster, algorithm="ring", iterations=2)
+
+        steps = 2 * (n_ranks - 1)
+        assert len(landed) == n_ranks * steps * 2
+        # Rank i sends right, so its messages belong to rank i + 1.
+        misrouted = [(rank, src) for rank, src in landed if rank != (src + 1) % n_ranks]
+        assert misrouted == []
+        stores = [w.iface.am_mailbox for w in workers.values()]
+        stores += [qp.cq.mailbox for w in workers.values() for qp in w.iface.qps]
+        assert len(workers) == n_ranks
+        assert len({id(store) for store in stores}) == len(stores)
